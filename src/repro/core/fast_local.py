@@ -17,6 +17,7 @@ import numpy as np
 import pandas as pd
 
 from repro.classifier.logistic import fit_logistic
+from repro.classifier.training import canonical_order
 from repro.eval.metrics import Effectiveness
 
 
@@ -40,11 +41,9 @@ class LocalContext:
     """Per-dataset precomputation for fast sweep runs."""
 
     def __init__(self, features: pd.DataFrame, gt: pd.DataFrame):
-        # Sort once by (id1, id2): this is exactly the canonical order the
-        # shared sampler (classifier.training.sample_balanced) uses.
-        f = features.sort_values(["id1", "id2"], kind="mergesort").reset_index(
-            drop=True
-        )
+        # The canonical (id1, id2) order the shared sampler
+        # (classifier.training.sample_balanced) uses.
+        f = canonical_order(features)
         self.id1 = f["id1"].to_numpy()
         self.id2 = f["id2"].to_numpy()
         ids = np.concatenate([self.id1, self.id2])

@@ -5,7 +5,7 @@ The 255-combination feature sweep (paper Section 5.3) runs each algorithm
 launch profitably. Features are therefore computed *once* per dataset in
 Spark, collected, and the sweep runs on this NumPy/pandas mirror whose
 semantics are equivalence-tested against the Spark engine
-(tests/test_engine_equivalence.py). Production scoring/pruning stays in
+(tests/test_pipeline.py, tests/test_pruning.py). Production scoring/pruning stays in
 Spark; this module exists only to make the brute-force sweep tractable.
 """
 from __future__ import annotations

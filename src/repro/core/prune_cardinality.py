@@ -8,57 +8,41 @@
 - RCNP — same lists, but the pair must be in the top-k of *both* endpoints.
 
 The paper's priority queues are tie-order dependent; we make results
-deterministic by ranking on ``(p desc, id1, id2)`` (DESIGN.md §3).
+deterministic by ranking on ``(p desc, id1, id2)`` (DESIGN.md §3). CNP and
+RCNP rank each entity over all of its valid pairs with ``row_number`` in
+the shared node-centric window pass (``prune_weight.node_prune``).
 """
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.prune_weight import _valid
+from repro.core.prune_weight import _valid, by_entity, node_prune
+
+
+def _quality_order() -> tuple[F.Column, ...]:
+    """The deterministic ranking ``(p desc, id1, id2)``."""
+    return F.col("p").desc(), F.col("id1").asc(), F.col("id2").asc()
 
 
 def cep(scored: DataFrame, *, K: int) -> DataFrame:
     """Supervised Cardinality Edge Pruning: global top-K valid pairs."""
     return (
         _valid(scored)
-        .orderBy(F.col("p").desc(), F.col("id1").asc(), F.col("id2").asc())
+        .orderBy(*_quality_order())
         .limit(int(K))
         .select("id1", "id2")
     )
 
 
-def _topk_membership(scored: DataFrame, k: int) -> DataFrame:
-    """``(id1, id2, in1, in2)``: membership of each valid pair in the per-
-    entity top-k list of its two endpoints. Pairs in neither list are
-    absent from the output (they can satisfy neither CNP nor RCNP)."""
-    valid = _valid(scored)
-    exploded = valid.select(
-        F.col("id1").alias("entity_id"), "id1", "id2", "p", F.lit(1).alias("side")
-    ).unionAll(
-        valid.select(
-            F.col("id2").alias("entity_id"), "id1", "id2", "p", F.lit(2).alias("side")
-        )
-    )
-    w = Window.partitionBy("entity_id").orderBy(
-        F.col("p").desc(), F.col("id1").asc(), F.col("id2").asc()
-    )
-    return (
-        exploded.withColumn("_rn", F.row_number().over(w))
-        .filter(F.col("_rn") <= int(k))
-        .groupBy("id1", "id2")
-        .agg(
-            F.max(F.col("side") == 1).alias("in1"),
-            F.max(F.col("side") == 2).alias("in2"),
-        )
-    )
+def _rank() -> F.Column:
+    """Each endpoint row's rank among its entity's valid pairs."""
+    return F.row_number().over(by_entity().orderBy(*_quality_order()))
 
 
 def cnp(scored: DataFrame, *, k: int) -> DataFrame:
     """Supervised Cardinality Node Pruning: in either endpoint's top-k."""
-    m = _topk_membership(scored, k)
-    return m.filter(F.col("in1") | F.col("in2")).select("id1", "id2")
+    return node_prune(scored, _rank(), F.max(F.col("s") <= int(k)))
 
 
 def rcnp(scored: DataFrame, *, k: int) -> DataFrame:
     """Reciprocal CNP: in both endpoints' top-k (deeper pruning)."""
-    m = _topk_membership(scored, k)
-    return m.filter(F.col("in1") & F.col("in2")).select("id1", "id2")
+    return node_prune(scored, _rank(), F.min(F.col("s") <= int(k)))

@@ -11,23 +11,44 @@ algorithm then applies its weight threshold over the valid pairs:
 - BLAST — keep pairs with p >= r * (max_i + max_j) using per-entity maxima
   (Alg. 3, r = 0.35 in the paper's experiments).
 
-Per-entity aggregates are computed by exploding each pair into its two
-endpoints and grouping — pure DataFrame algebra, no UDFs.
+The node-centric algorithms (WNP, RWNP, BLAST here; CNP, RCNP in
+``prune_cardinality``) share one window pass, ``node_prune``: each valid
+pair is exploded into one row per endpoint, a window over the endpoint
+entity attaches its statistic, and one ``groupBy(id1, id2)`` applies the
+algorithm's combine rule — pure DataFrame algebra, no UDFs, no joins.
 """
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window, WindowSpec
 from pyspark.sql import functions as F
+
 
 def _valid(scored: DataFrame) -> DataFrame:
     """The valid pairs of Definition 2: probability >= 0.5."""
     return scored.filter(F.col("p") >= 0.5)
 
 
-def _per_entity(valid: DataFrame, agg: F.Column, name: str) -> DataFrame:
-    """Aggregate valid probabilities per endpoint entity."""
-    exploded = valid.select(F.col("id1").alias("entity_id"), "p").unionAll(
-        valid.select(F.col("id2").alias("entity_id"), "p")
+def by_entity() -> WindowSpec:
+    """The window of one endpoint entity's valid pairs."""
+    return Window.partitionBy("entity_id")
+
+
+def node_prune(scored: DataFrame, stat: F.Column, keep: F.Column) -> DataFrame:
+    """Node-centric pruning in one window pass.
+
+    ``stat`` is a window function over ``entity_id`` evaluated on the rows
+    ``(entity_id, id1, id2, p)`` — each valid pair once per endpoint — and
+    becomes column ``s``. ``keep`` is an aggregate over a pair's two endpoint
+    rows (columns ``p`` and ``s``) that is true for retained pairs.
+    """
+    ends = _valid(scored).select(
+        F.explode(F.array("id1", "id2")).alias("entity_id"), "id1", "id2", "p"
     )
-    return exploded.groupBy("entity_id").agg(agg.alias(name))
+    return (
+        ends.withColumn("s", stat)
+        .groupBy("id1", "id2")
+        .agg(keep.alias("_keep"))
+        .filter(F.col("_keep"))
+        .select("id1", "id2")
+    )
 
 
 def bcl(scored: DataFrame) -> DataFrame:
@@ -44,41 +65,19 @@ def wep(scored: DataFrame) -> DataFrame:
     return valid.filter(F.col("p") >= float(mean_row["m"])).select("id1", "id2")
 
 
-def _node_pruning(scored: DataFrame, *, reciprocal: bool) -> DataFrame:
-    valid = _valid(scored)
-    means = _per_entity(valid, F.avg("p"), "thr")
-    j = (
-        valid.join(means.withColumnRenamed("entity_id", "id1"), "id1")
-        .withColumnRenamed("thr", "thr1")
-        .join(means.withColumnRenamed("entity_id", "id2"), "id2")
-        .withColumnRenamed("thr", "thr2")
-    )
-    beats1 = F.col("p") >= F.col("thr1")
-    beats2 = F.col("p") >= F.col("thr2")
-    cond = (beats1 & beats2) if reciprocal else (beats1 | beats2)
-    return j.filter(cond).select("id1", "id2")
-
-
 def wnp(scored: DataFrame) -> DataFrame:
     """Supervised Weighted Node Pruning (Algorithm 2): beat either mean."""
-    return _node_pruning(scored, reciprocal=False)
+    beats = F.col("p") >= F.col("s")
+    return node_prune(scored, F.avg("p").over(by_entity()), F.max(beats))
 
 
 def rwnp(scored: DataFrame) -> DataFrame:
     """Reciprocal WNP: beat both endpoint means (deeper pruning)."""
-    return _node_pruning(scored, reciprocal=True)
+    beats = F.col("p") >= F.col("s")
+    return node_prune(scored, F.avg("p").over(by_entity()), F.min(beats))
 
 
 def blast(scored: DataFrame, *, r: float = 0.35) -> DataFrame:
     """Supervised BLAST (Algorithm 3): p >= r * (max_i + max_j)."""
-    valid = _valid(scored)
-    maxima = _per_entity(valid, F.max("p"), "mx")
-    j = (
-        valid.join(maxima.withColumnRenamed("entity_id", "id1"), "id1")
-        .withColumnRenamed("mx", "mx1")
-        .join(maxima.withColumnRenamed("entity_id", "id2"), "id2")
-        .withColumnRenamed("mx", "mx2")
-    )
-    return j.filter(
-        F.col("p") >= F.lit(float(r)) * (F.col("mx1") + F.col("mx2"))
-    ).select("id1", "id2")
+    keep = F.max("p") >= F.lit(float(r)) * F.sum("s")
+    return node_prune(scored, F.max("p").over(by_entity()), keep)

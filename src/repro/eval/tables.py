@@ -7,9 +7,10 @@ spark-submit; ``benchmarks/bench_<name>.py`` times each and prints the rows.
 
 Engine choice per experiment (DESIGN.md §5): tables that report run-times
 (5, 6, 7, scalability) execute the Spark pipeline; pure-effectiveness sweeps
-(Tables 3/4, Sections 5.2/5.4) use the pandas local engine — equivalence-
-tested against Spark in tests/test_pipeline.py — because they need thousands
-of tiny runs, not dataflow timing.
+(Tables 3/4, Sections 5.2/5.4) use the NumPy engine ``core.fast_local`` —
+checked against the pandas reference in tests/test_fast_local.py and pair
+for pair against Spark in tests/test_pruning.py — because they need
+thousands of tiny runs, not dataflow timing.
 
 Paper-reported numbers are bundled as ``PAPER_*`` constants so harnesses and
 EXPERIMENTS.md can print paper-vs-measured side by side.

@@ -63,6 +63,8 @@ class GlobalStats:
 
 
 def global_stats(blocks: DataFrame) -> GlobalStats:
+    """Collection-level scalars; all zero for an empty collection (e.g. no
+    token shared by two entities), where SQL ``sum`` is null."""
     row = blocks.agg(
         F.count("*").alias("n_blocks"),
         F.sum("pair_card").alias("total_pair_card"),
@@ -70,6 +72,6 @@ def global_stats(blocks: DataFrame) -> GlobalStats:
     ).collect()[0]
     return GlobalStats(
         n_blocks=int(row["n_blocks"]),
-        total_pair_card=float(row["total_pair_card"]),
-        sum_block_sizes=int(row["sum_block_sizes"]),
+        total_pair_card=float(row["total_pair_card"] or 0.0),
+        sum_block_sizes=int(row["sum_block_sizes"] or 0),
     )

@@ -1,8 +1,10 @@
 """Integration tests: full GSM pipeline on a small synthetic Clean-Clean
 task, Spark-vs-local-engine end-to-end equivalence, and the qualitative
 behaviours the paper's evaluation rests on."""
+import pandas as pd
 import pytest
 
+from repro.classifier.training import canonical_order
 from repro.core.pipeline import (
     FEATURES_21,
     FEATURES_BLAST,
@@ -14,6 +16,7 @@ from repro.core.pipeline import (
 )
 from repro.core.local_engine import run_method_local
 from repro.er_data.generator import ERConfig, clean_clean, to_spark
+from repro.eval.metrics import Effectiveness
 from repro.features.schemes import columns_for
 
 
@@ -48,6 +51,16 @@ class TestPrepare:
         assert len(arts.features_pdf) == arts.n_candidates
         assert arts.features.count() == arts.n_candidates
 
+    def test_features_pdf_in_canonical_order(self, arts):
+        assert canonical_order(arts.features_pdf) is arts.features_pdf
+
+    def test_features_are_a_plan_leaf(self, arts):
+        """The feature frame is checkpointed: its analysed plan is a leaf
+        scan, not the blocking + feature lineage that every DataFrame step
+        of ``run_method`` would re-analyse."""
+        plan = arts.features._jdf.queryExecution().analyzed().toString().strip()
+        assert plan.startswith("LogicalRDD") and len(plan.splitlines()) == 1, plan
+
     def test_k_parameters_positive(self, arts):
         assert arts.cep_K > 0 and arts.cnp_k >= 1
 
@@ -55,6 +68,20 @@ class TestPrepare:
         n = resolve_n_train(arts, -1)
         assert n == max(1, round(0.05 * arts.block_quality.n_matches_found))
         assert resolve_n_train(arts, 25) == 25
+
+
+def test_no_shared_token_gives_empty_dataset(spark):
+    """No block survives: zero statistics and no candidates, not a crash."""
+    ents = pd.DataFrame(
+        {"entity_id": [0, 1, 2], "source": [1, 1, 1], "text": ["ab", "cd", "ef"]}
+    )
+    gt = pd.DataFrame({"id1": [0], "id2": [1]})
+    arts = prepare_dataset(
+        spark, "empty", to_spark(spark, ents), to_spark(spark, gt), "dirty"
+    )
+    assert arts.n_candidates == 0
+    assert arts.block_quality == Effectiveness(0, 0, 1)
+    assert (arts.gstats.n_blocks, arts.gstats.sum_block_sizes) == (0, 0)
 
 
 class TestRunAllAlgorithms:

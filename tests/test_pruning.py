@@ -1,6 +1,6 @@
-"""Pruning-algorithm tests: hand-computed retention on a crafted scored
-graph, Spark vs pandas local-engine equivalence on the same input, and the
-set-algebra relations between algorithms.
+"""Pruning-algorithm tests: hand-computed retention on crafted Clean-Clean
+and Dirty scored graphs, Spark vs the local engines on the same input, and
+the set-algebra relations between algorithms.
 
 Fixture graph (id1 in {1,2,3}, id2 in {11,12,13}):
 
@@ -14,7 +14,17 @@ import pandas as pd
 import pytest
 
 from repro.core import bcl, blast, cep, cnp, rcnp, rwnp, wep, wnp
+from repro.core.fast_local import LocalContext
 from repro.core.local_engine import prune_local
+from repro.core.pipeline import (
+    FEATURES_RCNP,
+    _pruner,
+    prepare_dataset,
+    run_method,
+    score_pairs,
+)
+from repro.er_data.generator import ERConfig, dirty, to_spark
+from repro.features.schemes import columns_for
 
 SCORED = pd.DataFrame(
     [
@@ -148,3 +158,95 @@ class TestAlgorithmRelations:
         entities = {e for p in kept for e in p}
         valid_entities = {1, 2, 3, 11, 12, 13}
         assert entities == valid_entities
+
+
+# -- Dirty ER ---------------------------------------------------------------
+# One collection, id1 < id2, so entities 2, 3 and 4 are id1 in some valid
+# pairs and id2 in others; every per-entity statistic spans both sides.
+#
+#     (1,2,.90) (1,3,.60) (2,3,.80) (2,4,.55) (3,4,.72) (4,5,.62) (1,4,.40)
+#
+# Valid pairs: all but (1,4). Per entity over its valid pairs:
+#   e1: .90 .60      mean .75   max .90   top-1 (1,2)  top-2 +(1,3)
+#   e2: .90 .80 .55  mean .75   max .90   top-1 (1,2)  top-2 +(2,3)
+#   e3: .60 .80 .72  mean .7067 max .80   top-1 (2,3)  top-2 +(3,4)
+#   e4: .55 .72 .62  mean .63   max .72   top-1 (3,4)  top-2 +(4,5)
+#   e5: .62          mean .62   max .62   top-1 (4,5)
+DIRTY_SCORED = pd.DataFrame(
+    [
+        (1, 2, 0.90),
+        (1, 3, 0.60),
+        (2, 3, 0.80),
+        (2, 4, 0.55),
+        (3, 4, 0.72),
+        (4, 5, 0.62),
+        (1, 4, 0.40),
+    ],
+    columns=["id1", "id2", "p"],
+)
+
+DIRTY_EXPECTED = {
+    "BCl": ({}, {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)}),
+    # global mean 4.19/6 = .698 -> keep .90 .80 .72
+    "WEP": ({}, {(1, 2), (2, 3), (3, 4)}),
+    # (1,3) and (2,4) beat neither mean; (4,5) beats e5's .62 but not e4's
+    "WNP": ({}, {(1, 2), (2, 3), (3, 4), (4, 5)}),
+    "RWNP": ({}, {(1, 2), (2, 3), (3, 4)}),
+    # thresholds .35*(max_i+max_j): .63 .595 .595 .567 .532 .469
+    "BLAST": ({"r": 0.35}, {(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)}),
+    # r=.5: .90 .85 .85 .81 .76 .67; (1,2) meets its threshold exactly
+    "BLAST_r05": ({"r": 0.5}, {(1, 2)}),
+    "CEP": ({"K": 4}, {(1, 2), (2, 3), (3, 4), (4, 5)}),
+    "CEP_all": ({"K": 10}, {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)}),
+    # union / intersection of the top-k lists above
+    "CNP": ({"k": 1}, {(1, 2), (2, 3), (3, 4), (4, 5)}),
+    "RCNP": ({"k": 1}, {(1, 2)}),
+    "CNP_k2": ({"k": 2}, {(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)}),
+    "RCNP_k2": ({"k": 2}, {(1, 2), (2, 3), (3, 4), (4, 5)}),
+}
+
+
+class TestDirtySparkPruning:
+    @pytest.mark.parametrize("case", list(DIRTY_EXPECTED))
+    def test_hand_computed_retention(self, spark, case):
+        kwargs, want = DIRTY_EXPECTED[case]
+        scored = spark.createDataFrame(DIRTY_SCORED)
+        assert _pairs(_SPARK_FNS[case](scored, **kwargs)) == want
+
+
+_ENGINE_SPLIT = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: NumPy engine ranks id1/id2 sides separately",
+)
+
+
+class TestDirtyEngineEquivalence:
+    """Spark (the reference) and ``LocalContext`` keep the same pairs on a
+    small Dirty ER dataset."""
+
+    @pytest.fixture(scope="class")
+    def dirty_arts(self, spark):
+        ent, gt = dirty(ERConfig(n_matches=80, n_only1=60, vocab_size=700, seed=42))
+        arts = prepare_dataset(
+            spark, "dirty", to_spark(spark, ent), to_spark(spark, gt), "dirty"
+        )
+        return arts, LocalContext(arts.features_pdf, arts.gt_pdf)
+
+    @pytest.mark.parametrize(
+        "algo",
+        ["BCl", "WEP", "WNP", "RWNP", "BLAST", "CEP",
+         pytest.param("CNP", marks=_ENGINE_SPLIT),
+         pytest.param("RCNP", marks=_ENGINE_SPLIT)],
+    )
+    def test_pair_sets_equal(self, dirty_arts, algo):
+        arts, ctx = dirty_arts
+        res = run_method(
+            arts, algo, feature_set=FEATURES_RCNP, n_train_per_class=15, seed=5
+        )
+        scored = score_pairs(arts.features, res.model)
+        spark_pairs = _pairs(_pruner(algo, arts, 0.35)(scored))
+        p = ctx.score(columns_for(FEATURES_RCNP), 15, 5)
+        keep = ctx.prune(p, algo, K=arts.cep_K, k=arts.cnp_k)
+        local_pairs = set(zip(ctx.id1[keep].tolist(), ctx.id2[keep].tolist()))
+        assert len(spark_pairs) == res.eff.n_pairs > 0
+        assert spark_pairs == local_pairs

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.classifier.training import match_mask, sample_balanced
+from repro.classifier.training import canonical_order, match_mask, sample_balanced
 
 
 @pytest.fixture()
@@ -71,3 +71,16 @@ class TestSampleBalanced:
             for s in range(6)
         }
         assert len(draws) > 1
+
+
+class TestCanonicalOrder:
+    def test_sorted_frame_returned_as_is(self, toy):
+        feats, _ = toy
+        assert canonical_order(feats) is feats
+
+    def test_unsorted_frame_sorted_stably(self, toy):
+        feats, _ = toy
+        shuffled = feats.sample(frac=1.0, random_state=3)
+        got = canonical_order(shuffled)
+        pd.testing.assert_frame_equal(got, feats)
+        assert canonical_order(got) is got
