@@ -10,18 +10,23 @@ from pyspark.sql import functions as F
 
 
 def block_filtering(assignments: DataFrame, *, ratio: float = 0.8) -> DataFrame:
-    """Per-entity retention of the smallest ``ratio`` fraction of blocks."""
-    sizes = assignments.groupBy("token").agg(F.count("*").alias("_block_size"))
-    w = Window.partitionBy("entity_id").orderBy(
-        F.col("_block_size").asc(), F.col("token").asc()
-    )
+    """Per-entity retention of the smallest ``ratio`` fraction of blocks.
+
+    Block sizes come from a window on ``token`` and the ranks from windows
+    on ``entity_id``: two window passes, no join.
+    """
+    by_entity = Window.partitionBy("entity_id")
     return (
-        assignments.join(sizes, "token")
-        .withColumn("_rank", F.row_number().over(w))
-        .withColumn(
-            "_limit",
-            F.ceil(F.lit(ratio) * F.count("*").over(Window.partitionBy("entity_id"))),
+        assignments.withColumn(
+            "_block_size", F.count("*").over(Window.partitionBy("token"))
         )
+        .withColumn(
+            "_rank",
+            F.row_number().over(
+                by_entity.orderBy(F.col("_block_size").asc(), F.col("token").asc())
+            ),
+        )
+        .withColumn("_limit", F.ceil(F.lit(ratio) * F.count("*").over(by_entity)))
         .filter(F.col("_rank") <= F.col("_limit"))
         .select("token", "entity_id", "source")
     )

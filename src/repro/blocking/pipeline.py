@@ -5,10 +5,16 @@ and finally restricts the collection to *comparison-bearing* blocks (>= 1
 candidate pair; for Clean-Clean that needs both sources present). All block
 statistics downstream (|B|, ||B||, sum of |b|) are over this collection
 (DESIGN.md §3).
+
+Every step is a window pass instead of a per-token aggregate joined back
+onto the assignments: after the distinct of Token Blocking, the plan is a
+window over ``token`` (purging, and filtering's block size), one over
+``entity_id`` (filtering's ranks) and one over ``token`` (the
+comparison-bearing test), with no join.
 """
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.blocking.token_blocking import token_blocking
@@ -26,26 +32,18 @@ class BlockCollection:
 
 
 def _comparison_bearing(assignments: DataFrame, task: str) -> DataFrame:
-    """Keep only blocks that generate at least one comparison."""
+    """Keep only blocks that generate at least one comparison: both sources
+    present (Clean-Clean) or at least two entities (Dirty), tested with a
+    window over ``token``."""
+    by_token = Window.partitionBy("token")
     if task == "clean":
-        ok = (
-            assignments.groupBy("token")
-            .agg(
-                F.sum(F.when(F.col("source") == 1, 1).otherwise(0)).alias("n1"),
-                F.sum(F.when(F.col("source") == 2, 1).otherwise(0)).alias("n2"),
-            )
-            .filter((F.col("n1") > 0) & (F.col("n2") > 0))
-            .select("token")
-        )
+        ok = F.min("source").over(by_token) != F.max("source").over(by_token)
     else:
-        ok = (
-            assignments.groupBy("token")
-            .agg(F.count("*").alias("n"))
-            .filter(F.col("n") >= 2)
-            .select("token")
-        )
-    return assignments.join(ok, "token", "inner").select(
-        "token", "entity_id", "source"
+        ok = F.count("*").over(by_token) >= 2
+    return (
+        assignments.withColumn("_ok", ok)
+        .filter(F.col("_ok"))
+        .select("token", "entity_id", "source")
     )
 
 

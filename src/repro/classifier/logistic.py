@@ -49,7 +49,8 @@ def fit_logistic(
 
     ``l2`` regularises the standardised weights (not the intercept), which
     both guarantees a unique optimum on separable tiny training sets and
-    mirrors sklearn's default-regularised behaviour.
+    mirrors sklearn's default-regularised behaviour. A sample holding only
+    one class raises ``ValueError``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -57,6 +58,13 @@ def fit_logistic(
         raise ValueError(f"bad shapes X={X.shape} y={y.shape}")
     if X.shape[1] != len(columns):
         raise ValueError("columns must name every feature dimension")
+    classes = np.unique(y)
+    if len(classes) < 2:
+        # One class has no decision boundary: the fit would be a constant
+        # model that keeps every pair or none.
+        raise ValueError(
+            f"training sample needs both classes, got labels {classes.tolist()}"
+        )
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)  # constant column -> no signal

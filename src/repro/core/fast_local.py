@@ -121,9 +121,11 @@ class LocalContext:
             vi = np.flatnonzero(valid)
             order = np.lexsort((self.id2[vi], self.id1[vi], -p[vi]))
             ranked = vi[order]  # pair indices in global quality order
-            in1 = _group_cumcount(self.c1[ranked]) < int(k)
-            in2 = _group_cumcount(self.c2[ranked]) < int(k)
-            comb = (in1 & in2) if algorithm == "RCNP" else (in1 | in2)
+            # Rank each entity over all of its valid pairs, whichever side it
+            # is on (Dirty ER): interleave the two endpoint codes per pair.
+            ends = np.column_stack([self.c1[ranked], self.c2[ranked]]).ravel()
+            in_top = (_group_cumcount(ends) < int(k)).reshape(-1, 2)
+            comb = in_top.all(axis=1) if algorithm == "RCNP" else in_top.any(axis=1)
             keep = np.zeros_like(valid)
             keep[ranked[comb]] = True
             return keep

@@ -75,14 +75,11 @@ def prune_local(
         ordered = valid.sort_values(
             ["p", "id1", "id2"], ascending=[False, True, True]
         ).reset_index(drop=True)
-        pair_rows = ordered.index.to_numpy()
-        in_top: list[set[int]] = [set(), set()]
-        for side, col in enumerate(["id1", "id2"]):
-            ranks = ordered.groupby(col).cumcount()
-            in_top[side] = set(pair_rows[(ranks < int(k)).to_numpy()])
-        keep1 = ordered.index.isin(in_top[0])
-        keep2 = ordered.index.isin(in_top[1])
-        keep = (keep1 & keep2) if algorithm == "RCNP" else (keep1 | keep2)
+        # Rank each entity over all of its valid pairs, whichever side it is
+        # on (Dirty ER): interleave the two endpoint ids per pair.
+        ends = pd.Series(ordered[["id1", "id2"]].to_numpy().ravel())
+        in_top = (ends.groupby(ends).cumcount() < int(k)).to_numpy().reshape(-1, 2)
+        keep = in_top.all(axis=1) if algorithm == "RCNP" else in_top.any(axis=1)
         return ordered[keep][["id1", "id2"]]
     raise ValueError(f"unknown algorithm {algorithm!r}")
 

@@ -31,7 +31,7 @@ from repro.classifier.training import (
     sample_balanced,
 )
 from repro.eval.metrics import Effectiveness, effectiveness
-from repro.features.schemes import compute_features, columns_for
+from repro.features.schemes import check_ranges, compute_features, columns_for
 from repro.features.stats import GlobalStats
 from repro.core import prune_weight, prune_cardinality
 
@@ -88,13 +88,17 @@ def prepare_dataset(
     task: str,
 ) -> DatasetArtifacts:
     """Block the dataset, compute all 8 features once, checkpoint + collect,
-    and measure the input block collection's quality (paper Table 2)."""
+    check the feature ranges, and measure the input block collection's
+    quality (paper Table 2)."""
     collection = build_blocks(entities, task)
     features, gstats = compute_features(collection)
     # Few, larger partitions: every candidate set here is <= a few million
-    # rows, where per-stage scheduling overhead dominates shuffles.
+    # rows, where per-stage scheduling overhead dominates shuffles. Rebinding
+    # ``features`` drops the lazy frame, which releases compute_features'
+    # cache of the per-pair aggregates.
     features = features.repartition(8).localCheckpoint()  # one job
     features_pdf = canonical_order(features.toPandas())  # reads the checkpoint
+    check_ranges(features_pdf)
     gt = ground_truth.select("id1", "id2").cache()
     gt_pdf = gt.toPandas()
     n_found = int(match_mask(features_pdf, gt_pdf).sum())

@@ -13,7 +13,12 @@ paper Section 4:
 - NRS(c_ij)    = RS / (Σ_{B_i} 1/|b| + Σ_{B_j} 1/|b| - RS)
 
 Everything is join/groupBy algebra on the pair-block relation — no UDFs.
+The per-block and per-entity tables are broadcast onto the pair frame.
 """
+import weakref
+
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -35,6 +40,28 @@ FEATURE_COLUMNS: dict[str, list[str]] = {
 FEATURE_NAMES: list[str] = list(FEATURE_COLUMNS)
 
 
+#: Ratio schemes, which lie in (0, 1] for every candidate pair.
+RATIO_COLUMNS = ("js", "wjs", "nrs")
+
+
+def check_ranges(features: pd.DataFrame) -> None:
+    """Raise ``ValueError`` naming the first feature column that holds a
+    non-finite value, or a ratio scheme outside ``(0, 1]`` (with 1e-12 of
+    rounding slack). A NaN would otherwise fail every ``p >= 0.5`` test
+    downstream and its pair would silently vanish."""
+    for col in columns_for(FEATURE_NAMES):
+        v = features[col].to_numpy(dtype=np.float64)
+        ok = np.isfinite(v)
+        if col in RATIO_COLUMNS:
+            ok &= (v > 0) & (v <= 1 + 1e-12)
+        if not ok.all():
+            bad = v[~ok][:3].tolist()
+            raise ValueError(
+                f"feature column {col!r} has {int((~ok).sum())} invalid "
+                f"value(s), e.g. {bad}"
+            )
+
+
 def columns_for(feature_set: list[str] | tuple[str, ...]) -> list[str]:
     """Flatten feature names into their dataframe columns, in canonical order."""
     cols: list[str] = []
@@ -51,77 +78,89 @@ def compute_features(
 
     Returns ``(features, gstats)``: ``features`` has ``id1, id2`` plus the
     nine feature columns of :data:`FEATURE_COLUMNS`.
+
+    The pair-block self-join and its ``groupBy(id1, id2)`` run once: the
+    per-pair aggregates are cached, because both the pair columns and LCP
+    read them. The cache is released when the returned ``features`` object
+    is garbage collected (frames derived from it do not keep it alive), so
+    a caller materialises what it needs first: ``prepare_dataset`` drops
+    the frame once it is checkpointed.
+
+    The small statistic tables — one row per block, one per entity — are
+    joined by explicit broadcast, so the pair frame is never shuffled to
+    meet them.
     """
     assignments = collection.assignments
     blocks = block_stats(assignments, collection.task)
     gstats = global_stats(blocks)
-    estats = entity_stats(assignments, blocks)
 
-    pb = pair_block_relation(assignments, collection.task).join(blocks, "token")
-    pair_agg = pb.groupBy("id1", "id2").agg(
-        F.count("*").alias("cb"),  # |B_i ∩ B_j|
-        F.sum(1.0 / F.col("pair_card")).alias("raccb"),
-        F.sum(1.0 / F.col("size")).alias("rs"),
+    pair_agg = (
+        pair_block_relation(assignments, collection.task)
+        .join(F.broadcast(blocks), "token")
+        .groupBy("id1", "id2")
+        .agg(
+            F.count("*").alias("cb"),  # |B_i ∩ B_j|
+            F.sum(1.0 / F.col("pair_card")).alias("raccb"),
+            F.sum(1.0 / F.col("size")).alias("rs"),
+        )
+        .cache()
     )
 
-    # LCP: distinct candidates per entity, from the candidate-pair relation.
-    cand = pair_agg.select("id1", "id2")
+    # One row per entity: its block statistics and LCP, the number of its
+    # distinct candidates. Every entity of a comparison-bearing block has one.
     lcp = (
-        cand.select(F.col("id1").alias("entity_id"))
-        .unionAll(cand.select(F.col("id2").alias("entity_id")))
+        pair_agg.select(F.explode(F.array("id1", "id2")).alias("entity_id"))
         .groupBy("entity_id")
         .agg(F.count("*").alias("lcp"))
     )
+    ent = F.broadcast(
+        entity_stats(assignments, blocks).join(F.broadcast(lcp), "entity_id")
+    )
+    # Aliases, not renamed copies: both sides then read one broadcast.
+    e1, e2 = ent.alias("e1"), ent.alias("e2")
 
-    e1 = estats.select(
-        F.col("entity_id").alias("id1"),
-        F.col("n_blocks").alias("nb_1"),
-        F.col("sum_pair_card").alias("spc_1"),
-        F.col("sum_inv_pair_card").alias("sipc_1"),
-        F.col("sum_inv_size").alias("sis_1"),
-    )
-    e2 = estats.select(
-        F.col("entity_id").alias("id2"),
-        F.col("n_blocks").alias("nb_2"),
-        F.col("sum_pair_card").alias("spc_2"),
-        F.col("sum_inv_pair_card").alias("sipc_2"),
-        F.col("sum_inv_size").alias("sis_2"),
-    )
-    l1 = lcp.select(F.col("entity_id").alias("id1"), F.col("lcp").alias("lcp_1"))
-    l2 = lcp.select(F.col("entity_id").alias("id2"), F.col("lcp").alias("lcp_2"))
+    def side(col: str, k: int) -> F.Column:
+        return F.col(f"e{k}.{col}")
 
     n_b = F.lit(float(gstats.n_blocks))
     total_pc = F.lit(gstats.total_pair_card)
-    js = F.col("cb") / (F.col("nb_1") + F.col("nb_2") - F.col("cb"))
+    js = F.col("cb") / (side("n_blocks", 1) + side("n_blocks", 2) - F.col("cb"))
 
     features = (
-        pair_agg.join(e1, "id1")
-        .join(e2, "id2")
-        .join(l1, "id1")
-        .join(l2, "id2")
+        pair_agg.join(e1, F.col("id1") == side("entity_id", 1))
+        .join(e2, F.col("id2") == side("entity_id", 2))
         .select(
             "id1",
             "id2",
             (
                 F.col("cb")
-                * F.log(n_b / F.col("nb_1"))
-                * F.log(n_b / F.col("nb_2"))
+                * F.log(n_b / side("n_blocks", 1))
+                * F.log(n_b / side("n_blocks", 2))
             ).alias("cf_ibf"),
             F.col("raccb").cast("double").alias("raccb"),
             js.cast("double").alias("js"),
-            F.col("lcp_1").cast("double").alias("lcp_1"),
-            F.col("lcp_2").cast("double").alias("lcp_2"),
+            side("lcp", 1).cast("double").alias("lcp_1"),
+            side("lcp", 2).cast("double").alias("lcp_2"),
             (
-                js * F.log(total_pc / F.col("spc_1")) * F.log(total_pc / F.col("spc_2"))
+                js
+                * F.log(total_pc / side("sum_pair_card", 1))
+                * F.log(total_pc / side("sum_pair_card", 2))
             ).alias("ejs"),
             (
                 F.col("raccb")
-                / (F.col("sipc_1") + F.col("sipc_2") - F.col("raccb"))
+                / (
+                    side("sum_inv_pair_card", 1)
+                    + side("sum_inv_pair_card", 2)
+                    - F.col("raccb")
+                )
             ).alias("wjs"),
             F.col("rs").cast("double").alias("rs"),
-            (F.col("rs") / (F.col("sis_1") + F.col("sis_2") - F.col("rs"))).alias(
-                "nrs"
-            ),
+            (
+                F.col("rs")
+                / (side("sum_inv_size", 1) + side("sum_inv_size", 2) - F.col("rs"))
+            ).alias("nrs"),
         )
     )
+    # The cache lives as long as the frame that reads it.
+    weakref.finalize(features, pair_agg.unpersist).atexit = False
     return features, gstats

@@ -39,10 +39,10 @@ def entity_stats(assignments: DataFrame, blocks: DataFrame) -> DataFrame:
     Columns: ``entity_id``, ``n_blocks`` (|B_i|), ``sum_pair_card``
     (||e_i||), ``sum_inv_pair_card`` (sum of 1/||b||), ``sum_inv_size``
     (sum of 1/|b|). The two reciprocal sums are the per-entity denominators
-    of WJS and NRS.
+    of WJS and NRS. ``blocks`` (one row per block) is broadcast.
     """
     return (
-        assignments.join(blocks, "token")
+        assignments.join(F.broadcast(blocks), "token")
         .groupBy("entity_id")
         .agg(
             F.count("*").alias("n_blocks"),

@@ -78,3 +78,16 @@ class TestContextEquivalence:
         for algo in PRUNERS:
             keep = ctx.prune(p, algo, K=100, k=2)
             assert not (keep & (p < 0.5)).any(), algo
+
+
+@pytest.mark.parametrize("algo, want", [
+    ("CNP", {(1, 2), (2, 3), (2, 4)}),
+    ("RCNP", {(1, 2)}),
+])
+def test_dirty_entity_ranked_over_both_sides(algo, want):
+    """Entity 2 is ``id2`` of its best pair and ``id1`` of the others: its
+    top-1 is (1, 2) over all of its pairs, as Spark's window ranks."""
+    pdf = pd.DataFrame({"id1": [1, 2, 2], "id2": [2, 3, 4], "x": [0.0, 0.0, 0.0]})
+    ctx = LocalContext(pdf, pd.DataFrame({"id1": [1], "id2": [2]}))
+    keep = ctx.prune(np.array([0.9, 0.8, 0.7]), algo, k=1)
+    assert set(zip(ctx.id1[keep].tolist(), ctx.id2[keep].tolist())) == want

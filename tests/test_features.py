@@ -7,7 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.blocking import build_blocks
 from repro.features import block_stats, compute_features, entity_stats, global_stats
-from repro.features.schemes import FEATURE_COLUMNS, columns_for
+from repro.features.schemes import FEATURE_COLUMNS, check_ranges, columns_for
 
 from tests.fixture_er import (
     BLOCKS,
@@ -151,6 +151,20 @@ class TestSchemeProperties:
 
     def test_no_nulls(self, feats):
         assert not feats.isna().any().any()
+
+    def test_check_ranges_accepts_real_features(self, feats):
+        check_ranges(feats)
+
+    @pytest.mark.parametrize(
+        "col, value",
+        [("cf_ibf", float("nan")), ("lcp_2", float("inf")), ("js", 1.5),
+         ("wjs", 0.0), ("nrs", float("nan"))],
+    )
+    def test_check_ranges_names_the_bad_column(self, feats, col, value):
+        bad = feats.copy()
+        bad.loc[bad.index[3], col] = value
+        with pytest.raises(ValueError, match=repr(col)):
+            check_ranges(bad)
 
     def test_rs_at_most_raccb_times_factor(self, feats):
         # In clean-clean blocks, ||b|| = n1*n2 >= |b| - 1 >= |b|/2, so

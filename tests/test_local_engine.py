@@ -51,6 +51,19 @@ class TestPruneLocalEdgeCases:
             out = prune_local(one, algo, K=5, k=2)
             assert len(out) == 1, algo
 
+    @pytest.mark.parametrize("algo, want", [
+        ("CNP", {(1, 2), (2, 3), (2, 4)}),
+        ("RCNP", {(1, 2)}),
+    ])
+    def test_dirty_entity_ranked_over_both_sides(self, algo, want):
+        """Entity 2 is ``id2`` of its best pair and ``id1`` of the others:
+        its top-1 is (1, 2) over all of its pairs, as Spark's window ranks."""
+        scored = pd.DataFrame(
+            {"id1": [1, 2, 2], "id2": [2, 3, 4], "p": [0.9, 0.8, 0.7]}
+        )
+        out = prune_local(scored, algo, k=1)
+        assert set(zip(out["id1"], out["id2"])) == want
+
     def test_cep_zero_K(self):
         one = pd.DataFrame({"id1": [1], "id2": [2], "p": [0.9]})
         assert len(prune_local(one, "CEP", K=0)) == 0

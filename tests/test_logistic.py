@@ -65,6 +65,13 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_logistic(np.zeros((4, 2)), np.zeros(4), ["a"])
 
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_single_class_sample_is_a_value_error(self, label):
+        """All-positive or all-negative samples have no decision boundary."""
+        X = np.random.default_rng(1).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="both classes"):
+            fit_logistic(X, np.full(10, label), ["a", "b"])
+
     def test_extreme_inputs_do_not_overflow(self):
         X = np.array([[-1e8], [1e8], [-1e8], [1e8]])
         y = np.array([0.0, 1.0, 0.0, 1.0])

@@ -3,7 +3,9 @@ task, Spark-vs-local-engine end-to-end equivalence, and the qualitative
 behaviours the paper's evaluation rests on."""
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+import repro.core.pipeline as pipeline
 from repro.classifier.training import canonical_order
 from repro.core.pipeline import (
     FEATURES_21,
@@ -82,6 +84,21 @@ def test_no_shared_token_gives_empty_dataset(spark):
     assert arts.n_candidates == 0
     assert arts.block_quality == Effectiveness(0, 0, 1)
     assert (arts.gstats.n_blocks, arts.gstats.sum_block_sizes) == (0, 0)
+
+
+def test_out_of_range_feature_stops_prepare(spark, monkeypatch):
+    """A NaN feature would silently drop its pair at ``p >= 0.5``; the
+    range check in ``prepare_dataset`` raises and names the column."""
+    compute = pipeline.compute_features
+
+    def with_nan(collection):
+        features, gstats = compute(collection)
+        return features.withColumn("nrs", F.lit(float("nan"))), gstats
+
+    monkeypatch.setattr(pipeline, "compute_features", with_nan)
+    ent, gt = clean_clean(ERConfig(n_matches=20, n_only1=5, n_only2=5, seed=3))
+    with pytest.raises(ValueError, match="'nrs'"):
+        prepare_dataset(spark, "nan", to_spark(spark, ent), to_spark(spark, gt), "clean")
 
 
 class TestRunAllAlgorithms:

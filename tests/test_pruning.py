@@ -214,12 +214,6 @@ class TestDirtySparkPruning:
         assert _pairs(_SPARK_FNS[case](scored, **kwargs)) == want
 
 
-_ENGINE_SPLIT = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: NumPy engine ranks id1/id2 sides separately",
-)
-
-
 class TestDirtyEngineEquivalence:
     """Spark (the reference) and ``LocalContext`` keep the same pairs on a
     small Dirty ER dataset."""
@@ -234,9 +228,7 @@ class TestDirtyEngineEquivalence:
 
     @pytest.mark.parametrize(
         "algo",
-        ["BCl", "WEP", "WNP", "RWNP", "BLAST", "CEP",
-         pytest.param("CNP", marks=_ENGINE_SPLIT),
-         pytest.param("RCNP", marks=_ENGINE_SPLIT)],
+        ["BCl", "WEP", "WNP", "RWNP", "BLAST", "CEP", "CNP", "RCNP"],
     )
     def test_pair_sets_equal(self, dirty_arts, algo):
         arts, ctx = dirty_arts
