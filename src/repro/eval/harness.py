@@ -1,11 +1,11 @@
 """Experiment harness: run (dataset x method x seed) grids and summarise.
 
-Each paper table is a grid of runs over the synthetic analogs. The harness
-prepares every dataset once (blocking + features are shared across methods),
-repeats each method over several seeds (the paper averages 10 runs; the
-default here is 3 — configurable, documented in EXPERIMENTS.md) and returns
-tidy pandas frames plus minimal markdown renderers (no external tabulate
-dependency).
+The Spark-engine tables of ``repro.eval.tables`` (5, 7 and Section 5.5) are
+grids of runs over prepared datasets: ``evaluate_grid`` repeats each method
+over several seeds (the paper averages 10 runs; the tables use 2-3, noted in
+EXPERIMENTS.md) on artifacts that are shared across methods, and
+``summarize`` averages the seeds. ``to_markdown`` renders any table (no
+external tabulate dependency).
 """
 from __future__ import annotations
 
@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
-from repro.core.pipeline import DatasetArtifacts, prepare_dataset, run_method
-from repro.er_data.datasets import load_analog
+from repro.core.pipeline import DatasetArtifacts, run_method
 
 
 @dataclass(frozen=True)
@@ -32,17 +30,6 @@ class MethodSpec:
     feature_set: tuple[str, ...]
     n_train_per_class: int
     blast_r: float = 0.35
-
-
-def prepare_analogs(
-    spark: SparkSession, names: Iterable[str]
-) -> dict[str, DatasetArtifacts]:
-    """Block + featurise every named analog once."""
-    out = {}
-    for name in names:
-        entities, gt, task = load_analog(spark, name)
-        out[name] = prepare_dataset(spark, name, entities, gt, task)
-    return out
 
 
 def evaluate_grid(
@@ -68,11 +55,10 @@ def evaluate_grid(
                         "dataset": name,
                         "method": spec.label,
                         "seed": seed,
+                        "n_candidates": arts.n_candidates,
                         "recall": res.eff.recall,
                         "precision": res.eff.precision,
                         "f1": res.eff.f1,
-                        "n_pairs": res.eff.n_pairs,
-                        "n_candidates": arts.n_candidates,
                         "rt_s": res.runtime_s,
                     }
                 )
@@ -84,10 +70,10 @@ def summarize(grid: pd.DataFrame) -> pd.DataFrame:
     return (
         grid.groupby(["dataset", "method"], sort=False, as_index=False)
         .agg(
+            n_candidates=("n_candidates", "first"),
             recall=("recall", "mean"),
             precision=("precision", "mean"),
             f1=("f1", "mean"),
-            n_pairs=("n_pairs", "mean"),
             rt_s=("rt_s", "mean"),
         )
     )

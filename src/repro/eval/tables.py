@@ -1,9 +1,12 @@
 """One function per paper table/section — the reproduction harnesses.
 
-Each ``table*``/``section*`` function takes the SparkSession (plus knobs),
-runs the experiment on the synthetic analogs and returns a tidy pandas frame
-whose rows mirror the paper's table. ``jobs/<name>.py`` wraps each for
-spark-submit; ``benchmarks/bench_<name>.py`` times each and prints the rows.
+Each ``table*``/``section*`` function takes the SparkSession (plus the
+``names``/``seeds``/``sizes`` that let tests run it small), runs the
+experiment on the synthetic analogs and returns a tidy pandas frame whose
+rows mirror the paper's table. The ``TABLES`` registry at the bottom maps
+each result name (``table1`` … ``section55``) to the frame functions whose
+markdown :func:`render` joins into ``results/<name>.md``; ``jobs/run.py``
+and ``benchmarks/bench_tables.py`` are both driven from it.
 
 Engine choice per experiment (DESIGN.md §5): tables that report run-times
 (5, 6, 7, scalability) execute the Spark pipeline; pure-effectiveness sweeps
@@ -17,7 +20,7 @@ EXPERIMENTS.md can print paper-vs-measured side by side.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -38,7 +41,7 @@ from repro.er_data.datasets import (
     SCALABILITY_ANALOGS,
     load_analog,
 )
-from repro.eval.harness import MethodSpec
+from repro.eval.harness import MethodSpec, evaluate_grid, summarize, to_markdown
 from repro.features.schemes import columns_for
 
 #: In-process artifact cache: every table shares one blocking+features pass
@@ -158,9 +161,7 @@ def _sweep(
     spark: SparkSession,
     algorithm: str,
     names: Iterable[str] | None,
-    n_train_per_class: int,
     seeds: list[int],
-    top: int,
 ) -> pd.DataFrame:
     per_dataset = []
     for name in _clean_names(names):
@@ -170,38 +171,36 @@ def _sweep(
                 arts.features_pdf,
                 arts.gt_pdf,
                 algorithm,
-                n_train_per_class=n_train_per_class,
+                n_train_per_class=250,
                 seeds=seeds,
                 K=arts.cep_K,
                 k=arts.cnp_k,
                 context=get_context(spark, name),
             )
         )
-    return top_feature_sets(per_dataset, n=top)
+    return top_feature_sets(per_dataset, n=10)
 
 
 def table3(
     spark: SparkSession,
     names: Iterable[str] | None = None,
     *,
-    n_train_per_class: int = 250,
     seeds: list[int] | None = None,
-    top: int = 10,
 ) -> pd.DataFrame:
-    """Top-``top`` feature sets for BLAST over all 255 combinations."""
-    return _sweep(spark, "BLAST", names, n_train_per_class, seeds or [1], top)
+    """Top-10 feature sets for BLAST over all 255 combinations, 250
+    training pairs per class."""
+    return _sweep(spark, "BLAST", names, seeds or [1])
 
 
 def table4(
     spark: SparkSession,
     names: Iterable[str] | None = None,
     *,
-    n_train_per_class: int = 250,
     seeds: list[int] | None = None,
-    top: int = 10,
 ) -> pd.DataFrame:
-    """Top-``top`` feature sets for RCNP over all 255 combinations."""
-    return _sweep(spark, "RCNP", names, n_train_per_class, seeds or [1], top)
+    """Top-10 feature sets for RCNP over all 255 combinations, 250
+    training pairs per class."""
+    return _sweep(spark, "RCNP", names, seeds or [1])
 
 
 # --------------------------------------------------------------------------
@@ -234,43 +233,30 @@ PAPER_TABLE7 = {
 }
 
 
-def _final_comparison(
+def _summary(
     spark: SparkSession,
+    names: list[str],
     specs: list[MethodSpec],
-    paper: dict[str, tuple],
-    names: Iterable[str] | None,
     seeds: list[int],
 ) -> pd.DataFrame:
-    rows = []
-    for name in _clean_names(names):
-        arts = get_artifacts(spark, name)
-        for si, spec in enumerate(specs):
-            effs, rts = [], []
-            for seed in seeds:
-                res = run_method(
-                    arts,
-                    spec.algorithm,
-                    feature_set=spec.feature_set,
-                    n_train_per_class=spec.n_train_per_class,
-                    seed=seed,
-                )
-                effs.append(res.eff)
-                rts.append(res.runtime_s)
-            p = paper.get(name)
-            rows.append(
-                {
-                    "dataset": name,
-                    "method": spec.label,
-                    "recall": sum(e.recall for e in effs) / len(effs),
-                    "precision": sum(e.precision for e in effs) / len(effs),
-                    "f1": sum(e.f1 for e in effs) / len(effs),
-                    "rt_s": sum(rts) / len(rts),
-                    "paper_recall": p[si][0] if p else None,
-                    "paper_precision": p[si][1] if p else None,
-                    "paper_f1": p[si][2] if p else None,
-                }
-            )
-    return pd.DataFrame(rows)
+    """Seed-averaged Spark runs of every (dataset, spec), in that order."""
+    arts = {name: get_artifacts(spark, name) for name in names}
+    return summarize(evaluate_grid(arts, specs, seeds))
+
+
+def _with_paper(
+    df: pd.DataFrame, specs: list[MethodSpec], paper: dict[str, tuple]
+) -> pd.DataFrame:
+    """A finals summary without ``n_candidates``, plus the paper's
+    recall/precision/F1 of each (dataset, method)."""
+    df = df.drop(columns="n_candidates")
+    spec_index = {spec.label: i for i, spec in enumerate(specs)}
+    for k, col in enumerate(("paper_recall", "paper_precision", "paper_f1")):
+        df[col] = [
+            paper[name][spec_index[method]][k]
+            for name, method in zip(df["dataset"], df["method"])
+        ]
+    return df
 
 
 def table5(
@@ -285,7 +271,8 @@ def table5(
         MethodSpec("BCl1", "BCl", FEATURES_BLAST, 25),
         MethodSpec("BCl2", "BCl", FEATURES_21, -1),
     ]
-    return _final_comparison(spark, specs, PAPER_TABLE5, names, seeds or [1, 2, 3])
+    df = _summary(spark, _clean_names(names), specs, seeds or [1, 2, 3])
+    return _with_paper(df, specs, PAPER_TABLE5)
 
 
 def table7(
@@ -300,7 +287,8 @@ def table7(
         MethodSpec("CNP1", "CNP", FEATURES_RCNP, 25),
         MethodSpec("CNP2", "CNP", FEATURES_21, -1),
     ]
-    return _final_comparison(spark, specs, PAPER_TABLE7, names, seeds or [1, 2, 3])
+    df = _summary(spark, _clean_names(names), specs, seeds or [1, 2, 3])
+    return _with_paper(df, specs, PAPER_TABLE7)
 
 
 # --------------------------------------------------------------------------
@@ -319,14 +307,13 @@ PAPER_TABLE6 = pd.DataFrame(
 
 def table6(
     spark: SparkSession,
-    dataset: str = "D100K",
     *,
     seeds: list[int] | None = None,
 ) -> pd.DataFrame:
     """BLAST's logistic-regression models over the D100K analog: raw-space
     coefficients, retained candidates and detected duplicates per iteration."""
     seeds = seeds or [1, 2, 3]
-    arts = get_artifacts(spark, dataset)
+    arts = get_artifacts(spark, "D100K")
     cols = columns_for(FEATURES_BLAST)
     data: dict[str, list] = {"term": [*FEATURES_BLAST, "Intercept",
                                       "Candidate pairs", "Detected duplicates"]}
@@ -364,11 +351,11 @@ def section52(
     spark: SparkSession,
     names: Iterable[str] | None = None,
     *,
-    n_train_per_class: int = 250,
     seeds: list[int] | None = None,
 ) -> pd.DataFrame:
-    """All 8 supervised pruning algorithms with the [21] feature set,
-    averaged over the analogs (the paper's Figures 5/6 as a table)."""
+    """All 8 supervised pruning algorithms with the [21] feature set and 250
+    training pairs per class, averaged over the analogs (the paper's
+    Figures 5/6 as a table)."""
     seeds = seeds or [1, 2, 3]
     rows = []
     for name in _clean_names(names):
@@ -379,7 +366,7 @@ def section52(
                 eff = ctx.run(
                     algo,
                     columns_for(FEATURES_21),
-                    n_train_per_class=n_train_per_class,
+                    n_train_per_class=250,
                     seed=seed,
                     K=arts.cep_K,
                     k=arts.cnp_k,
@@ -473,33 +460,7 @@ def section55(
         MethodSpec("CNP", "CNP", FEATURES_21, -1),
         MethodSpec("RCNP", "RCNP", FEATURES_RCNP, 25),
     ]
-    rows = []
-    for name in names:
-        arts = get_artifacts(spark, name)
-        for spec in specs:
-            effs, rts = [], []
-            for seed in seeds:
-                res = run_method(
-                    arts,
-                    spec.algorithm,
-                    feature_set=spec.feature_set,
-                    n_train_per_class=spec.n_train_per_class,
-                    seed=seed,
-                )
-                effs.append(res.eff)
-                rts.append(res.runtime_s)
-            rows.append(
-                {
-                    "dataset": name,
-                    "method": spec.label,
-                    "n_candidates": arts.n_candidates,
-                    "recall": sum(e.recall for e in effs) / len(effs),
-                    "precision": sum(e.precision for e in effs) / len(effs),
-                    "f1": sum(e.f1 for e in effs) / len(effs),
-                    "rt_s": sum(rts) / len(rts),
-                }
-            )
-    df = pd.DataFrame(rows)
+    df = _summary(spark, names, specs, seeds)
     base = df[df["dataset"] == names[0]].set_index("method")
     df["speedup"] = [
         (r["n_candidates"] / base.loc[r["method"], "n_candidates"])
@@ -507,3 +468,26 @@ def section55(
         for _, r in df.iterrows()
     ]
     return df
+
+
+# --------------------------------------------------------------------------
+# The registry: result name -> the frames of results/<name>.md
+# --------------------------------------------------------------------------
+TABLES: dict[str, tuple[Callable[[SparkSession], pd.DataFrame], ...]] = {
+    "table1": (table1, table1b),
+    "table2": (table2,),
+    "table3": (table3,),
+    "table4": (table4,),
+    "table5": (table5,),
+    "table6": (table6,),
+    "table7": (table7,),
+    "section52": (section52,),
+    "section54": (section54,),
+    "section55": (section55,),
+}
+
+
+def render(spark: SparkSession, name: str) -> str:
+    """The markdown of ``results/<name>.md``: each of the name's frames at
+    full size, separated by a blank line."""
+    return "\n\n".join(to_markdown(fn(spark)) for fn in TABLES[name])

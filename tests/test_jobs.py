@@ -1,37 +1,52 @@
-"""Smoke tests: every job entrypoint is importable and wired to a real
-harness function; the cheap harnesses run end-to-end on one analog."""
+"""The table registry and its job entry point, without a JVM; the cheaper
+harnesses run end to end on one analog."""
 import importlib.util
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
-JOBS_DIR = pathlib.Path(__file__).resolve().parent.parent / "jobs"
-JOB_NAMES = [
-    "table1_datasets",
-    "table2_blocks",
-    "table3_sweep_blast",
-    "table4_sweep_rcnp",
-    "table5_weight_final",
-    "table6_models",
-    "table7_cardinality_final",
-    "section52_algorithms",
-    "section54_training_size",
-    "section55_scalability",
-]
+from repro.eval import tables
+from repro.eval.tables import TABLES
+
+RUN = pathlib.Path(__file__).resolve().parent.parent / "jobs" / "run.py"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, JOBS_DIR / f"{name}.py")
+@pytest.fixture(scope="module")
+def run():
+    """``jobs/run.py`` as a module (``jobs/`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("jobs_run", RUN)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
-class TestJobModules:
-    @pytest.mark.parametrize("name", JOB_NAMES)
-    def test_importable_with_main(self, name):
-        mod = _load(name)
-        assert callable(mod.main)
+class TestRegistry:
+    @pytest.mark.parametrize("name", TABLES)
+    def test_name_is_a_job_choice(self, run, name):
+        assert run.parser().parse_args([name]).names == [name]
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_entries_are_callable(self, name):
+        assert TABLES[name]
+        assert all(callable(fn) for fn in TABLES[name])
+
+    def test_unknown_name_exits_nonzero(self, run):
+        with pytest.raises(SystemExit) as exc:
+            run.main(["table99"])
+        assert exc.value.code != 0
+
+    def test_table1_renders_table1b_as_second_table(self, monkeypatch):
+        # table1/table1b read only |C| from the artifacts; the rest is config.
+        monkeypatch.setattr(
+            tables, "get_artifacts", lambda spark, name: SimpleNamespace(n_candidates=7)
+        )
+        blocks = tables.render(None, "table1").split("\n\n")
+        assert len(blocks) == 2
+        t1, t1b = (b.splitlines() for b in blocks)
+        assert t1[0].startswith("| dataset | E1 | E2 | D | C |")
+        assert t1b[0] == "| dataset | E | D | C | paper_E |"
+        assert len(t1) == 2 + 9 and len(t1b) == 2 + 5
 
 
 class TestHarnessSmoke:
@@ -49,6 +64,10 @@ class TestHarnessSmoke:
         from repro.eval.tables import table5
 
         df = table5(spark, names=["AbtBuy"], seeds=[1])
+        assert list(df.columns) == [
+            "dataset", "method", "recall", "precision", "f1", "rt_s",
+            "paper_recall", "paper_precision", "paper_f1",
+        ]
         assert list(df["method"]) == ["BLAST", "BCl1", "BCl2"]
         assert df["f1"].between(0, 1).all()
 
